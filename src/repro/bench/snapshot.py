@@ -25,8 +25,9 @@ Sections
     sampled endurance-budget fields).
 ``service``
     Submit-to-result latency through the in-process
-    :class:`~repro.service.api.ServiceAPI` — the HTTP surface minus the
-    socket — reported as p50/p99 milliseconds.
+    :class:`~repro.gateway.api.GatewayAPI` over a 2-process
+    :class:`~repro.gateway.jobs.GatewayManager` — the HTTP surface minus
+    the socket — reported as p50/p99 milliseconds.
 ``mapping_search``
     Beam-search throughput over one real-size conv layer (candidates
     evaluated per second, wear profiles included) and the wall-clock
@@ -34,11 +35,11 @@ Sections
     generate-and-test on a small layer.
 ``service_load``
     Open-loop duplicated-traffic load (seeded fleet-traffic arrivals
-    over real HTTP) against a 4-process ``rota gateway`` and against a
-    single-inflight ``rota serve`` baseline: sustained RPS, p99
-    latency, coalesce ratio, and the gateway-over-serve throughput
-    speedup. Both services run with every result cache disabled so the
-    comparison prices executions, not cache reads.
+    over real HTTP) against a 4-process gateway and against a
+    single-inflight 1-process gateway: sustained RPS, p99 latency,
+    coalesce ratio, and the 4-over-1 throughput speedup. Both run with
+    every result cache disabled so the comparison prices executions,
+    not cache reads.
 
 Cache hit rate is collected over the fleet section (the profile
 memoization path) via :func:`repro.runtime.observe.collect_metrics`.
@@ -447,9 +448,8 @@ def _bench_faults(config: BenchConfig) -> List[Metric]:
 
 
 def _bench_service(config: BenchConfig) -> List[Metric]:
-    """Submit-to-result latency through the in-process service API."""
-    from repro.service.api import ServiceAPI
-    from repro.service.jobs import JobManager
+    """Submit-to-result latency through the in-process gateway API."""
+    from repro.gateway import GatewayAPI, GatewayManager
 
     def submit_and_wait(api):
         start = time.perf_counter()
@@ -470,14 +470,15 @@ def _bench_service(config: BenchConfig) -> List[Metric]:
             )
         return (time.perf_counter() - start) * 1000.0
 
-    manager = JobManager(workers=2)
+    manager = GatewayManager(workers=2)
     manager.start()
-    api = ServiceAPI(manager)
+    api = GatewayAPI(manager)
     latencies_ms = []
     try:
         # One untimed warmup run pays the experiment's cold cost; the
-        # timed submissions then measure the service round-trip itself
-        # (queue, dispatch, warm-cache execution, status polling).
+        # timed submissions then measure the serving round-trip itself
+        # (intake, dispatch to a worker process, warm-cache execution,
+        # status polling).
         submit_and_wait(api)
         for _ in range(config.service_submissions):
             latencies_ms.append(submit_and_wait(api))
@@ -567,78 +568,64 @@ def _bench_mapping_search(config: BenchConfig) -> List[Metric]:
 
 
 def _bench_service_load(config: BenchConfig) -> List[Metric]:
-    """Gateway vs single-inflight serve under duplicated open-loop load.
+    """A 4-process gateway vs a single-inflight one under open-loop load.
 
     The same seeded scenario (fleet-traffic arrivals over a small class
     set, so identical submissions overlap in flight) is offered to a
-    4-process gateway and to a ``workers=1`` PR-4 thread service — the
+    4-process gateway and to a ``workers=1`` gateway — the
     single-inflight baseline. Both run with their warm cache disabled
     *and* with ``REPRO_RESULT_CACHE=off`` in the executing processes —
     the experiments' internal memoization would otherwise collapse
     every repeat execution to a cache read and the comparison would
-    price nothing. The gateway's advantage is therefore exactly what
-    it adds: multi-process parallelism plus request coalescing.
+    price nothing. Both coalesce, so the speedup prices the extra
+    worker processes.
     """
     import os
     import tempfile
 
     from repro.gateway.loadgen import LoadScenario, run_load
     from repro.gateway.server import GatewayConfig, GatewayService
-    from repro.runtime import ResultCache
-    from repro.service.server import RotaService, ServiceConfig
 
     scenario = LoadScenario(
         num_requests=config.load_requests, rate_rps=config.load_rate_rps
     )
-    cache_env_before = os.environ.get("REPRO_RESULT_CACHE")
-    os.environ["REPRO_RESULT_CACHE"] = "off"
-    try:
-        gateway = GatewayService(
+
+    def offer(workers: int):
+        service = GatewayService(
             GatewayConfig(
                 port=0,
-                workers=4,
+                workers=workers,
                 queue_depth=max(256, config.load_requests),
                 start_method="fork",
                 cache_dir=tempfile.mkdtemp(prefix="rota-bench-gw-"),
                 cache_enabled=False,
             )
         )
-        gateway.start()
+        service.start()
         try:
-            gateway_report = run_load(gateway.url, scenario)
+            return run_load(service.url, scenario)
         finally:
-            gateway.shutdown()
+            service.shutdown()
 
-        serve = RotaService(
-            ServiceConfig(
-                port=0,
-                workers=1,
-                queue_depth=max(256, config.load_requests),
-            ),
-            cache=ResultCache(
-                directory=tempfile.mkdtemp(prefix="rota-bench-serve-"),
-                enabled=False,
-            ),
-        )
-        serve.start()
-        try:
-            serve_report = run_load(serve.url, scenario)
-        finally:
-            serve.shutdown()
+    cache_env_before = os.environ.get("REPRO_RESULT_CACHE")
+    os.environ["REPRO_RESULT_CACHE"] = "off"
+    try:
+        gateway_report = offer(workers=4)
+        single_report = offer(workers=1)
     finally:
         if cache_env_before is None:
             os.environ.pop("REPRO_RESULT_CACHE", None)
         else:
             os.environ["REPRO_RESULT_CACHE"] = cache_env_before
 
-    if gateway_report.errors_5xx or serve_report.errors_5xx:
+    if gateway_report.errors_5xx or single_report.errors_5xx:
         raise ConfigurationError(
-            f"load bench saw 5xx responses (gateway "
-            f"{gateway_report.errors_5xx}, serve {serve_report.errors_5xx})"
+            f"load bench saw 5xx responses (4 workers "
+            f"{gateway_report.errors_5xx}, 1 worker {single_report.errors_5xx})"
         )
     speedup = (
-        gateway_report.sustained_rps / serve_report.sustained_rps
-        if serve_report.sustained_rps
+        gateway_report.sustained_rps / single_report.sustained_rps
+        if single_report.sustained_rps
         else 0.0
     )
     return [
@@ -668,12 +655,12 @@ def _bench_service_load(config: BenchConfig) -> List[Metric]:
             atol=0.1,
         ),
         Metric(
-            "service_load_speedup_vs_serve",
+            "service_load_speedup_vs_one_worker",
             speedup,
             "x",
             "higher",
-            # The multiple stays well above the 4x floor, but its exact
-            # value moves with how much backlog the run accumulates.
+            # The multiple moves with how much backlog the run
+            # accumulates.
             atol=3.0,
         ),
     ]

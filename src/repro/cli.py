@@ -14,9 +14,10 @@ of the scheduler stack behind one).
 ``rota all`` runs the full evaluation section in order; the utility
 subcommands (``export``, ``report``, ``cache``, ``serve``) stay
 hand-written because they orchestrate files or processes rather than
-run one experiment. ``rota serve`` exposes the same registry over HTTP
-(see :mod:`repro.service`); ``rota gateway`` is its multi-process,
-coalescing production twin (see :mod:`repro.gateway`).
+run one experiment. ``rota serve`` and ``rota gateway`` expose the same
+registry over HTTP through one serving stack (see :mod:`repro.gateway`);
+they differ in their default port, worker count and queue depth, and
+``gateway`` adds three flags (task attempts, start method, cache dir).
 """
 
 from __future__ import annotations
@@ -236,39 +237,73 @@ def _cmd_bench(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_serve(args: argparse.Namespace) -> str:
-    from repro.service import ServiceConfig, serve
-
-    return serve(
-        ServiceConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.jobs,
-            queue_depth=args.queue_depth,
-            request_timeout=args.request_timeout,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-        )
-    )
-
-
 def _cmd_gateway(args: argparse.Namespace) -> str:
+    from dataclasses import fields
+
     from repro.gateway import GatewayConfig, serve_gateway
 
+    options = dict(vars(args), workers=args.jobs)
     return serve_gateway(
         GatewayConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.jobs,
-            queue_depth=args.queue_depth,
-            request_timeout=args.request_timeout,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-            task_attempts=args.task_attempts,
-            start_method=args.start_method,
-            cache_dir=args.cache_dir,
+            **{f.name: options[f.name] for f in fields(GatewayConfig) if f.name in options}
         )
     )
+
+
+def _add_server_parser(
+    sub: Any, name: str, help_text: str, port: int, jobs: int, queue_depth: int
+) -> argparse.ArgumentParser:
+    """One serving subcommand; ``serve`` and ``gateway`` differ in defaults."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--host", default="127.0.0.1", help="bind address")
+    p.add_argument("--port", type=int, default=port, help="bind port")
+    p.add_argument(
+        "--jobs",
+        "-j",
+        type=int,
+        default=jobs,
+        help="worker processes executing runs (one experiment each)",
+    )
+    p.add_argument(
+        "--queue-depth",
+        type=int,
+        default=queue_depth,
+        metavar="N",
+        help=(
+            "max pending unique executions before the coalesce-only tier "
+            "(identical in-flight submissions still attach; unique work "
+            "gets 429 + computed Retry-After)"
+        ),
+    )
+    p.add_argument(
+        "--request-timeout",
+        type=float,
+        default=300.0,
+        metavar="SECONDS",
+        help=(
+            "per-request socket timeout and per-execution wall-clock "
+            "budget; an overrunning worker is terminated (HTTP 504)"
+        ),
+    )
+    p.add_argument(
+        "--breaker-threshold",
+        type=int,
+        default=5,
+        metavar="N",
+        help=(
+            "consecutive execution failures that open the circuit "
+            "breaker (the shed tier: 503 + Retry-After)"
+        ),
+    )
+    p.add_argument(
+        "--breaker-cooldown",
+        type=float,
+        default=30.0,
+        metavar="SECONDS",
+        help="seconds the breaker stays open before a half-open probe",
+    )
+    p.set_defaults(func=_cmd_gateway)
+    return p
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
@@ -455,112 +490,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser(
+    _add_server_parser(
+        sub,
         "serve",
-        help=(
-            "long-running HTTP service: registry-driven experiment API "
-            "with a job queue and live /metrics"
-        ),
+        "long-running HTTP service: registry-driven experiment API "
+        "with a job queue and live /metrics",
+        port=8753,
+        jobs=2,
+        queue_depth=32,
     )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--port", type=int, default=8753, help="bind port")
-    p.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=2,
-        help="worker threads executing queued runs",
-    )
-    p.add_argument(
-        "--queue-depth",
-        type=int,
-        default=32,
-        metavar="N",
-        help="max queued (not yet running) jobs before 429 backpressure",
-    )
-    p.add_argument(
-        "--request-timeout",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help=(
-            "per-request socket timeout and per-job wall-clock budget; "
-            "an overrunning job flips to state 'timeout' (HTTP 504)"
-        ),
-    )
-    p.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=5,
-        metavar="N",
-        help=(
-            "consecutive job failures that open the circuit breaker "
-            "(submissions then shed with 503 + Retry-After)"
-        ),
-    )
-    p.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="seconds the breaker stays open before a half-open probe",
-    )
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
+    p = _add_server_parser(
+        sub,
         "gateway",
-        help=(
-            "production serving front door: asyncio HTTP over N worker "
-            "processes with request coalescing, SSE progress streams, "
-            "and tiered backpressure"
-        ),
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--port", type=int, default=8764, help="bind port")
-    p.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=4,
-        help="worker processes executing runs (one experiment each)",
-    )
-    p.add_argument(
-        "--queue-depth",
-        type=int,
-        default=64,
-        metavar="N",
-        help=(
-            "max pending unique executions before the coalesce-only tier "
-            "(identical in-flight submissions still attach; unique work "
-            "gets 429 + computed Retry-After)"
-        ),
-    )
-    p.add_argument(
-        "--request-timeout",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help=(
-            "per-request socket timeout and per-execution wall-clock "
-            "budget; an overrunning worker is terminated (HTTP 504)"
-        ),
-    )
-    p.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=5,
-        metavar="N",
-        help=(
-            "consecutive execution failures that open the circuit "
-            "breaker (the shed tier: 503 + Retry-After)"
-        ),
-    )
-    p.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="seconds the breaker stays open before a half-open probe",
+        "production serving front door: asyncio HTTP over N worker "
+        "processes with request coalescing, SSE progress streams, "
+        "and tiered backpressure",
+        port=8764,
+        jobs=4,
+        queue_depth=64,
     )
     p.add_argument(
         "--task-attempts",
@@ -587,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: $REPRO_RESULT_CACHE resolution)"
         ),
     )
-    p.set_defaults(func=_cmd_gateway)
 
     p = sub.add_parser("all", help="every table and figure in order")
     _add_jobs_flag(p)

@@ -22,6 +22,7 @@ import numpy as np
 from repro.arch.array import PEArray
 from repro.errors import ConfigurationError
 from repro.reliability.weibull import JEDEC_BETA
+from repro.runtime.seeds import fresh_seed_sequence
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -71,12 +72,6 @@ class EnduranceBudgets:
         return cls(np.full(array.shape, float(budget)))
 
 
-def _as_seed_sequence(seed: Seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def sample_endurance_budgets(
     array: PEArray,
     mean_budget: float,
@@ -99,7 +94,7 @@ def sample_endurance_budgets(
         raise ConfigurationError(f"Weibull beta must be positive, got {beta}")
     if minimum <= 0:
         raise ConfigurationError(f"minimum budget must be positive, got {minimum}")
-    rng = np.random.default_rng(_as_seed_sequence(seed))
+    rng = np.random.default_rng(fresh_seed_sequence(seed))
     scale = mean_budget / math.gamma(1.0 + 1.0 / beta)
     draws = scale * rng.weibull(beta, size=array.shape)
     return EnduranceBudgets(np.maximum(draws, minimum))

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.accuracy.slo import EXACT_SLO, SLOClass
 from repro.errors import ConfigurationError
+from repro.runtime.seeds import fresh_seed_sequence
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -138,12 +139,6 @@ def _slo_table(mix: WorkloadMix) -> Dict[str, SLOClass]:
     return {name: mix.slo_for(name) for name in mix.names}
 
 
-def _as_seed_sequence(seed: Seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _check_shape(num_requests: int, rate_rps: float) -> None:
     if num_requests < 1:
         raise ConfigurationError(
@@ -161,7 +156,7 @@ def poisson_requests(
 ) -> Tuple[Request, ...]:
     """Poisson arrivals at ``rate_rps`` with i.i.d. workload draws."""
     _check_shape(num_requests, rate_rps)
-    rng = np.random.default_rng(_as_seed_sequence(seed))
+    rng = np.random.default_rng(fresh_seed_sequence(seed))
     gaps = rng.exponential(1.0 / rate_rps, size=num_requests)
     arrivals = np.cumsum(gaps)
     picks = rng.choice(len(mix.entries), size=num_requests, p=mix.probabilities)
@@ -200,7 +195,7 @@ def bursty_requests(
         raise ConfigurationError(f"burst_mean must be >= 1, got {burst_mean}")
     if burstiness < 1:
         raise ConfigurationError(f"burstiness must be >= 1, got {burstiness}")
-    rng = np.random.default_rng(_as_seed_sequence(seed))
+    rng = np.random.default_rng(fresh_seed_sequence(seed))
     names = mix.names
     probabilities = mix.probabilities
     slos = _slo_table(mix)

@@ -2,8 +2,8 @@
 
 Every run is deterministic by construction — a submission is fully
 described by its content key ``content_hash("service-run", schema,
-version, spec id, validated params)``, the same key the PR-4 warm
-cache stores results under. The warm cache already collapses
+version, spec id, validated params)``, the same key the warm-hit
+result cache stores results under. The warm cache already collapses
 *sequential* duplicates; the :class:`Coalescer` collapses *concurrent*
 ones: while a key is executing, later identical submissions attach to
 the primary job instead of dispatching their own execution, and all

@@ -7,9 +7,8 @@ in the worker processes, and the API layer only touches in-memory job
 state under short critical sections. The transport stays deliberately
 small:
 
-* ordinary routes parse the request, call :meth:`ServiceAPI.handle`
-  (the exact contract ``rota serve`` uses), and write one JSON
-  document with ``Connection: close``;
+* ordinary routes parse the request, call :meth:`GatewayAPI.handle`,
+  and write one JSON document with ``Connection: close``;
 * ``GET /v1/runs/<id>/events`` with ``Accept: text/event-stream`` is
   upgraded to a live SSE stream: the journal replay and the
   subscription are atomic (no gaps, no duplicates), events carry
@@ -18,10 +17,11 @@ small:
   stream closes itself after the terminal event;
 * a 304 is written with no body and no content type (RFC 9110).
 
-HTTP parsing accepts exactly what the service's clients send: a request
-line, ``\\r\\n``-separated headers, and an optional ``Content-Length``
-JSON body. Anything malformed gets a structured 400, never a stack
-trace.
+HTTP parsing accepts exactly what the gateway's clients send: a
+request line, ``\\r\\n``-separated headers, and an optional
+``Content-Length`` JSON body. Anything malformed gets a structured 400
+(``invalid-json`` for a bad body, ``invalid-request`` otherwise), never
+a stack trace.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import asyncio
 import json
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.service.api import ApiResponse, ServiceAPI
-from repro.service.jobs import JobState, UnknownJobError
+from repro.gateway.api import ApiResponse, GatewayAPI
+from repro.gateway.jobs import JobState, UnknownJobError
 
 __all__ = ["AsyncHTTPFrontend"]
 
@@ -65,13 +65,17 @@ _REASONS = {
 class _BadRequest(Exception):
     """A malformed request; the message becomes the 400 body."""
 
+    def __init__(self, message: str, code: str = "invalid-request") -> None:
+        super().__init__(message)
+        self.code = code
+
 
 class AsyncHTTPFrontend:
-    """Serves :class:`ServiceAPI` over asyncio, with the SSE upgrade."""
+    """Serves :class:`GatewayAPI` over asyncio, with the SSE upgrade."""
 
     def __init__(
         self,
-        api: ServiceAPI,
+        api: GatewayAPI,
         host: str = "127.0.0.1",
         port: int = 8764,
         request_timeout: float = 300.0,
@@ -139,7 +143,7 @@ class AsyncHTTPFrontend:
                 writer,
                 ApiResponse(
                     400,
-                    {"error": {"code": "invalid-request", "message": str(error)}},
+                    {"error": {"code": error.code, "message": str(error)}},
                 ),
             )
             return
@@ -195,12 +199,13 @@ class AsyncHTTPFrontend:
             parsed = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise _BadRequest(
-                f"request body is not valid JSON: {error}"
+                f"request body is not valid JSON: {error}", "invalid-json"
             ) from None
         if parsed is not None and not isinstance(parsed, dict):
             raise _BadRequest(
                 f"request body must be a JSON object, "
-                f"got {type(parsed).__name__}"
+                f"got {type(parsed).__name__}",
+                "invalid-json",
             )
         return parsed
 
@@ -255,13 +260,6 @@ class AsyncHTTPFrontend:
         """
         manager = self._api.manager
         job_id = [part for part in path.split("/") if part][2]
-        subscribe = getattr(manager, "subscribe", None)
-        if subscribe is None:
-            await self._write_response(
-                writer,
-                self._api.handle("GET", path, None, headers),
-            )
-            return
         try:
             cursor = int(headers.get("last-event-id", 0))
         except ValueError:
@@ -276,7 +274,7 @@ class AsyncHTTPFrontend:
             loop.call_soon_threadsafe(pending.put_nowait, event)
 
         try:
-            replay = subscribe(job_id, _listener)
+            replay = manager.subscribe(job_id, _listener)
         except UnknownJobError:
             await self._write_response(
                 writer,
@@ -291,9 +289,7 @@ class AsyncHTTPFrontend:
                 ),
             )
             return
-        record_stream = getattr(manager.metrics, "record_sse_stream", None)
-        if record_stream is not None:
-            record_stream()
+        manager.metrics.record_sse_stream()
         try:
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
@@ -324,11 +320,9 @@ class AsyncHTTPFrontend:
                 if event["seq"] <= cursor:
                     continue
                 terminal = await self._write_event(writer, event)
-            self._api.manager.metrics.record_request(200)
+            manager.metrics.record_request(200)
         finally:
-            unsubscribe = getattr(manager, "unsubscribe", None)
-            if unsubscribe is not None:
-                unsubscribe(job_id, _listener)
+            manager.unsubscribe(job_id, _listener)
 
     @staticmethod
     async def _write_event(

@@ -1,10 +1,10 @@
 """The gateway's job layer: coalesced intake over the process pool.
 
-:class:`GatewayJobManager` is the multi-process, coalescing successor
-of the PR-4 :class:`~repro.service.jobs.JobManager`. It exposes the
-same query surface (``get``/``jobs``/``queue_depth``/
-``running_count``/``worker_health``), so :class:`~repro.service.api.
-ServiceAPI` routes against it unchanged, and adds:
+:class:`GatewayManager` owns every submitted :class:`Job` and routes
+unique work onto the :class:`~repro.gateway.pool.WorkerProcessPool`.
+Its query surface (``get``/``jobs``/``queue_depth``/``running_count``/
+``worker_health``) is what :class:`~repro.gateway.api.GatewayAPI`
+routes against, and on top of the plain job lifecycle it adds:
 
 * **request coalescing** — a submission whose content key is already
   executing attaches to the in-flight run (one execution, many
@@ -20,6 +20,10 @@ ServiceAPI` routes against it unchanged, and adds:
 * **poisoned-key quarantine** — a key whose executions keep crashing
   workers is condemned; identical submissions fail fast instead of
   burning another worker process.
+
+Completed payloads live in the persistent
+:class:`~repro.runtime.cache.ResultCache` under the run's content key,
+so a repeated submission with identical parameters is a warm hit.
 
 Thread model: submissions arrive on the asyncio loop (or any thread),
 pool events arrive on the supervisor thread; every mutation happens
@@ -43,20 +47,22 @@ from repro.experiments.registry import (
     package_version,
     validate_params,
 )
+from repro.experiments.result import to_jsonable
 from repro.gateway.coalesce import Coalescer
 from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.pool import PoolEvent, WorkerProcessPool
 from repro.resilience import CircuitBreaker
 from repro.runtime import CACHE_SCHEMA_VERSION, content_hash
-from repro.service.jobs import (
-    Job,
-    JobState,
-    QueueFullError,
-    ServiceStoppedError,
-    UnknownJobError,
-)
 
-__all__ = ["GatewayJob", "GatewayJobManager", "TIERS"]
+__all__ = [
+    "GatewayManager",
+    "Job",
+    "JobState",
+    "QueueFullError",
+    "ServiceStoppedError",
+    "TIERS",
+    "UnknownJobError",
+]
 
 #: Backpressure tiers, most to least permissive.
 TIERS = ("accept", "coalesce-only", "shed", "draining")
@@ -64,10 +70,58 @@ TIERS = ("accept", "coalesce-only", "shed", "draining")
 Listener = Callable[[Dict[str, Any]], None]
 
 
-@dataclass
-class GatewayJob(Job):
-    """One gateway submission (mutated only under the manager lock)."""
+class QueueFullError(ReproError):
+    """The job queue is at capacity; the submission was rejected.
 
+    ``retry_after`` is the backpressure hint (seconds) the API surfaces
+    as a ``Retry-After`` header — computed from the current queue depth
+    and the observed per-job service rate, not a constant.
+    """
+
+    def __init__(self, message: str, retry_after: int = 1) -> None:
+        self.retry_after = retry_after
+        super().__init__(message)
+
+
+class ServiceStoppedError(ReproError):
+    """The gateway is shutting down and no longer accepts submissions."""
+
+
+class UnknownJobError(ReproError):
+    """No job with the requested id exists."""
+
+
+class JobState:
+    """The job lifecycle: queued → running → done / failed / cancelled / timeout."""
+
+    QUEUED = "queued"
+    RUNNING = "running"
+    DONE = "done"
+    FAILED = "failed"
+    CANCELLED = "cancelled"
+    TIMEOUT = "timeout"
+
+    #: States a job can never leave.
+    TERMINAL = (DONE, FAILED, CANCELLED, TIMEOUT)
+
+
+@dataclass
+class Job:
+    """One submitted experiment run (mutated only under the manager lock)."""
+
+    id: str
+    spec_id: str
+    params: Dict[str, Any]
+    created_at: float
+    state: str = JobState.QUEUED
+    cached: bool = False
+    started_at: Optional[float] = None
+    finished_at: Optional[float] = None
+    error: Optional[Dict[str, str]] = None
+    payload: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: Bumped on every observable mutation; the basis of the detail
+    #: endpoint's ``ETag`` (pollers sending ``If-None-Match`` get 304).
+    version: int = 1
     #: Content key of the run (coalescing and warm-cache identity).
     key: str = ""
     #: True when this submission attached to an in-flight execution.
@@ -79,21 +133,69 @@ class GatewayJob(Job):
     #: Live event listeners (SSE subscribers).
     listeners: List[Listener] = field(default_factory=list, repr=False)
 
+    @property
+    def done(self) -> bool:
+        """Whether the job reached a terminal state."""
+        return self.state in JobState.TERMINAL
+
+    @property
+    def etag(self) -> str:
+        """The strong entity tag of the job's current state."""
+        return f'"{self.id}-v{self.version}"'
+
     def summary(self) -> Dict[str, Any]:
-        body = super().summary()
-        body["coalesced"] = self.coalesced
-        body["version"] = self.version
+        """JSON-ready status view (no result body — list endpoints)."""
+        return {
+            "id": self.id,
+            "spec_id": self.spec_id,
+            "params": to_jsonable(self.params),
+            "state": self.state,
+            "cached": self.cached,
+            "created_at": self.created_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "error": self.error,
+            "coalesced": self.coalesced,
+            "version": self.version,
+        }
+
+    def detail(self) -> Dict[str, Any]:
+        """JSON-ready full view, including result and manifest when done."""
+        body = self.summary()
+        body["result"] = None if self.payload is None else self.payload["result"]
+        body["manifest"] = (
+            None if self.payload is None else self.payload["manifest"]
+        )
         return body
 
 
-class GatewayJobManager:
+class GatewayManager:
     """Coalesced, back-pressured intake over a worker-process pool.
 
-    Parameters mirror :class:`~repro.service.jobs.JobManager` where the
-    concepts match; the additions are ``task_attempts`` (worker-crash
-    retries before a key is quarantined), ``start_method`` (the
-    ``multiprocessing`` start method), and ``cache_dir`` (an explicit
-    warm-hit store handed to the worker processes).
+    Parameters
+    ----------
+    workers:
+        Worker processes executing runs (one experiment each at a time).
+    queue_depth:
+        Maximum number of pending unique executions; unique submissions
+        beyond it raise :class:`QueueFullError`.
+    metrics:
+        The gateway-wide counter sink (a fresh one when omitted).
+    job_timeout:
+        Wall-clock budget per execution, in seconds; an overrunning
+        worker is terminated and the job flips to
+        :attr:`JobState.TIMEOUT` (504). ``None`` disables the deadline.
+    breaker:
+        Optional :class:`~repro.resilience.CircuitBreaker` fed by every
+        execution outcome; while open, unique submissions raise
+        :class:`~repro.resilience.CircuitOpenError` (503).
+    task_attempts:
+        Worker-crash retries before a content key is quarantined.
+    cache_dir / cache_enabled:
+        Explicit warm-hit store handed to the worker processes
+        (``None`` resolves the environment default per worker).
+    start_method:
+        The ``multiprocessing`` start method of the workers.
     """
 
     def __init__(
@@ -115,7 +217,7 @@ class GatewayJobManager:
         self._workers = workers
         self._queue_depth = queue_depth
         self._lock = threading.Lock()
-        self._jobs: Dict[str, GatewayJob] = {}
+        self._jobs: Dict[str, Job] = {}
         self._counter = itertools.count(1)
         self._stop = threading.Event()
         self._coalescer = Coalescer()
@@ -145,14 +247,16 @@ class GatewayJobManager:
 
     def submit(
         self, spec_id: str, raw_params: Optional[Dict[str, Any]]
-    ) -> GatewayJob:
+    ) -> Job:
         """Validate, coalesce or enqueue one run; returns the job.
 
-        Raises the same error family as the thread service —
+        Raises :class:`~repro.errors.ConfigurationError` for an unknown
+        experiment, :class:`~repro.experiments.registry.
+        ParamValidationError` for a bad body (400),
         :class:`ServiceStoppedError` (503), :class:`~repro.resilience.
-        CircuitOpenError` (503), :class:`QueueFullError` (429) — plus
+        CircuitOpenError` (503), :class:`QueueFullError` (429), and
         :class:`~repro.resilience.PoisonedTaskError` for a quarantined
-        content key.
+        content key (422).
         """
         spec = get_spec(spec_id)
         params = validate_params(spec, raw_params if raw_params is not None else {})
@@ -160,7 +264,7 @@ class GatewayJobManager:
             raise ServiceStoppedError("gateway is shutting down")
         key = self._content_key(spec.id, params)
         self._coalescer.check_quarantine(key)
-        job = GatewayJob(
+        job = Job(
             id=f"run-{next(self._counter):06d}-{uuid.uuid4().hex[:8]}",
             spec_id=spec.id,
             params=params,
@@ -206,7 +310,7 @@ class GatewayJobManager:
         return job
 
     def _content_key(self, spec_id: str, params: Dict[str, Any]) -> str:
-        """Same content key as the PR-4 warm cache (shared identity)."""
+        """Content key of one run (schema- and version-qualified)."""
         return content_hash(
             "service-run",
             CACHE_SCHEMA_VERSION,
@@ -215,9 +319,9 @@ class GatewayJobManager:
             params,
         )
 
-    # -- queries (ServiceAPI contract) --------------------------------------
+    # -- queries ------------------------------------------------------------
 
-    def get(self, job_id: str) -> GatewayJob:
+    def get(self, job_id: str) -> Job:
         """Look up one job by id."""
         with self._lock:
             try:
@@ -225,7 +329,7 @@ class GatewayJobManager:
             except KeyError:
                 raise UnknownJobError(f"unknown job {job_id!r}") from None
 
-    def jobs(self) -> List[GatewayJob]:
+    def jobs(self) -> List[Job]:
         """Every known job, oldest first."""
         with self._lock:
             return sorted(self._jobs.values(), key=lambda job: job.created_at)
@@ -262,8 +366,9 @@ class GatewayJobManager:
         """Backpressure hint for 429 responses (computed, clamped).
 
         Outstanding executions divided by the pool's observed service
-        rate (EMA over ``workers`` lanes), clamped to [1, 60] — the
-        same estimator the thread service now uses.
+        rate (EMA of completed-job seconds over ``workers`` lanes),
+        clamped to [1, 60]. Before any job has completed there is no
+        rate estimate and the hint stays at the 1-second floor.
         """
         ema = self.metrics.estimated_job_seconds()
         if ema is None:
@@ -306,7 +411,7 @@ class GatewayJobManager:
             except ValueError:
                 pass
 
-    def _publish_locked(self, job: GatewayJob, state: str) -> None:
+    def _publish_locked(self, job: Job, state: str) -> None:
         """Append one event to the job's journal and notify listeners."""
         event: Dict[str, Any] = {
             "seq": len(job.events) + 1,
@@ -327,7 +432,7 @@ class GatewayJobManager:
 
     # -- pool event handling (supervisor thread) ----------------------------
 
-    def _family(self, task_id: str) -> List[GatewayJob]:
+    def _family(self, task_id: str) -> List[Job]:
         """The primary job plus every follower attached to its key."""
         primary = self._jobs.get(task_id)
         if primary is None:
@@ -426,7 +531,7 @@ class GatewayJobManager:
             self.breaker.record_success()
 
     @staticmethod
-    def _job_seconds(primary: Optional[GatewayJob]) -> float:
+    def _job_seconds(primary: Optional[Job]) -> float:
         if primary is None or primary.started_at is None:
             return 0.0
         finished = primary.finished_at or time.time()

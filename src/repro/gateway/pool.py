@@ -1,10 +1,9 @@
 """The gateway's supervised worker-process pool.
 
-Where the PR-4 service executed jobs on worker *threads* inside the
-HTTP process, the gateway runs them in N dedicated worker *processes*:
-one experiment at a time per worker, dispatched over a per-worker task
-queue, results and lifecycle events flowing back over one shared event
-queue. A supervisor thread in the gateway process owns the pool state
+The gateway runs experiments in N dedicated worker *processes*, never
+in the HTTP process: one experiment at a time per worker, dispatched
+over a per-worker task queue, results and lifecycle events flowing
+back over one shared event queue. A supervisor thread in the gateway process owns the pool state
 and provides the resilience guarantees the serving front door needs:
 
 * **ready handshake** — a worker announces itself only after it has
@@ -22,9 +21,9 @@ and provides the resilience guarantees the serving front door needs:
   :class:`~repro.runtime.parallel.ParallelRunner` applies to batch
   tasks, re-used for serving).
 
-Workers execute through the same ``run_experiment`` + warm-cache path
-as the thread service, so a gateway response is byte-identical to
-``rota <exp> --json`` (modulo manifest timings).
+Workers execute through the same ``run_experiment`` entrypoint as the
+CLI (behind the warm-hit result cache), so a gateway response is
+byte-identical to ``rota <exp> --json`` (modulo manifest timings).
 """
 
 from __future__ import annotations
@@ -217,6 +216,11 @@ class WorkerProcessPool:
         ``fork`` for startup speed.
     """
 
+    #: Seconds the supervisor blocks on its event queue between
+    #: deadline/liveness sweeps. Submissions do not wait for it: they
+    #: put a wake-up event on the queue.
+    IDLE_POLL_SECONDS = 0.02
+
     def __init__(
         self,
         workers: int,
@@ -329,6 +333,7 @@ class WorkerProcessPool:
                 break
             time.sleep(0.02)
         self._stop.set()
+        self._wake()
         with self._lock:
             workers = list(self._workers)
         for worker in workers:
@@ -357,6 +362,16 @@ class WorkerProcessPool:
             self._pending.append(
                 _Task(task_id=task_id, spec_id=spec_id, params=params, key=key)
             )
+        self._wake()
+
+    def _wake(self) -> None:
+        """Unblock the supervisor's idle poll (no-op before :meth:`start`).
+
+        Without it a submission to an idle pool waits out the poll
+        before an idle worker picks it up.
+        """
+        if self._supervisor is not None:
+            self._event_queue.put(("wake", None))
 
     def pending_count(self) -> int:
         """Tasks accepted but not yet dispatched to a worker."""
@@ -397,7 +412,7 @@ class WorkerProcessPool:
     def _supervise(self) -> None:
         while not self._stop.is_set():
             try:
-                event = self._event_queue.get(timeout=0.02)
+                event = self._event_queue.get(timeout=self.IDLE_POLL_SECONDS)
             except queue.Empty:
                 event = None
             except (OSError, ValueError):
@@ -413,6 +428,8 @@ class WorkerProcessPool:
 
     def _handle_event(self, event: Tuple[Any, ...]) -> None:
         kind, worker_id = event[0], event[1]
+        if kind == "wake":
+            return
         with self._lock:
             worker = self._worker_by_index(worker_id)
         if worker is None:

@@ -1,15 +1,15 @@
-"""Assembly and lifecycle of one gateway process (``rota gateway``).
+"""Assembly and lifecycle of one gateway process (``rota serve`` / ``rota gateway``).
 
 :class:`GatewayService` wires the pieces together — gateway metrics,
 circuit breaker, the coalescing :class:`~repro.gateway.jobs.
-GatewayJobManager` over its worker-process pool, the
+GatewayManager` over its worker-process pool, the
 :class:`~repro.gateway.api.GatewayAPI`, and the asyncio
 :class:`~repro.gateway.http.AsyncHTTPFrontend` — and owns the event
 loop, which runs on a dedicated background thread so ``start()`` /
-``shutdown()`` stay plain synchronous calls (same ergonomics as
-:class:`~repro.service.server.RotaService`, which the tests lean on).
+``shutdown()`` stay plain synchronous calls.
 
-:func:`serve_gateway` is the CLI entrypoint: print one listening line,
+:func:`serve_gateway` is the CLI entrypoint of both ``rota serve`` and
+``rota gateway`` (they differ only in their defaults): print one listening line,
 park on a shutdown event, and drain gracefully when SIGTERM *or*
 SIGINT arrives — both signals take the identical path: stop accepting,
 let running executions finish, cancel queued ones, close streams.
@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.resilience import CircuitBreaker
 from repro.gateway.api import GatewayAPI
 from repro.gateway.http import AsyncHTTPFrontend
-from repro.gateway.jobs import GatewayJobManager
+from repro.gateway.jobs import GatewayManager
 from repro.gateway.metrics import GatewayMetrics
 
 __all__ = ["GatewayConfig", "GatewayService", "serve_gateway"]
@@ -35,13 +35,18 @@ __all__ = ["GatewayConfig", "GatewayService", "serve_gateway"]
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Tunables of one ``rota gateway`` process.
+    """Tunables of one gateway process.
 
-    The serving knobs mirror :class:`~repro.service.server.
-    ServiceConfig`; the gateway adds ``task_attempts`` (worker-crash
-    retries before a content key is quarantined) and ``start_method``
-    (how worker processes are spawned — ``spawn`` is the safe default
-    next to the asyncio loop; tests use ``fork`` for speed).
+    ``request_timeout`` is enforced end-to-end: it is both the
+    per-connection timeout and the wall-clock budget of each execution
+    (an overrunning worker is terminated and the job's detail responds
+    504). ``breaker_threshold`` consecutive execution failures open the
+    circuit breaker, which sheds unique submissions with 503 +
+    ``Retry-After`` until a probe succeeds after ``breaker_cooldown``
+    seconds. ``task_attempts`` bounds worker-crash retries before a
+    content key is quarantined, and ``start_method`` picks how worker
+    processes are started (``spawn`` is the safe default next to the
+    asyncio loop; tests use ``fork`` for speed).
     """
 
     host: str = "127.0.0.1"
@@ -100,7 +105,7 @@ class GatewayService:
     def __init__(self, config: Optional[GatewayConfig] = None) -> None:
         self.config = config if config is not None else GatewayConfig()
         self.metrics = GatewayMetrics()
-        self.manager = GatewayJobManager(
+        self.manager = GatewayManager(
             workers=self.config.workers,
             queue_depth=self.config.queue_depth,
             metrics=self.metrics,
@@ -206,7 +211,7 @@ def serve_gateway(
 ) -> str:
     """Run the gateway until SIGTERM/SIGINT, then drain and summarize.
 
-    This is what ``rota gateway`` calls. SIGINT is handled identically
+    This is what ``rota serve`` and ``rota gateway`` call. SIGINT is handled identically
     to SIGTERM — an operator's Ctrl-C gets the same graceful drain as
     the supervisor's stop signal.
     """

@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.reliability.weibull import WeibullModel
 from repro.runtime import ParallelRunner
+from repro.runtime.seeds import fresh_seed_sequence
 
 
 @dataclass(frozen=True)
@@ -183,16 +184,11 @@ def sample_array_lifetimes(
         )
 
     if seed is not None:
-        sequence = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
         counts = [
             min(chunk_size, num_samples - start)
             for start in range(0, num_samples, chunk_size)
         ]
-        children = sequence.spawn(len(counts))
+        children = fresh_seed_sequence(seed).spawn(len(counts))
         runner = ParallelRunner(jobs)
         chunks = runner.map(
             _sample_chunk,

@@ -20,8 +20,8 @@ small, stdlib-only building blocks:
   and timeout error types the runner raises when a task is beyond
   saving;
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`, the
-  closed → open → half-open load-shedding state machine ``rota serve``
-  puts in front of its job queue.
+  closed → open → half-open load-shedding state machine the gateway
+  (``rota serve`` / ``rota gateway``) puts in front of its job queue.
 
 Everything here is deterministic under a fixed seed — the chaos suite
 (:mod:`repro.chaos`, ``tests/resilience/``) relies on replaying the

@@ -1,7 +1,7 @@
 """Circuit breaker: shed load after consecutive failures, probe, recover.
 
-The classic three-state machine, used by :class:`~repro.service.jobs.
-JobManager` in front of its queue:
+The classic three-state machine, used by :class:`~repro.gateway.jobs.
+GatewayManager` in front of its queue:
 
 * **closed** — everything flows; consecutive failures are counted and
   a success resets the count;
@@ -13,8 +13,8 @@ JobManager` in front of its queue:
   (restarting the cooldown).
 
 The clock is injectable so tests can drive the transitions without
-sleeping, and every method is thread-safe — worker threads report
-outcomes while the intake thread asks for admission.
+sleeping, and every method is thread-safe — the pool supervisor
+thread reports outcomes while the intake thread asks for admission.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The substrate the experiment layer scales on: a process-pool runner
 with a serial fallback and deterministic result ordering
 (:mod:`repro.runtime.parallel`), stable content hashing for cache keys
 (:mod:`repro.runtime.fingerprint`), and a persistent content-addressed
-result store (:mod:`repro.runtime.cache`). See
+result store (:mod:`repro.runtime.cache`), plus the one seed-rebuild
+rule every Monte Carlo entry point shares (:mod:`repro.runtime.seeds`). See
 ``docs/architecture.md`` ("Runtime & caching") for the full contract.
 """
 
@@ -29,6 +30,7 @@ from repro.runtime.parallel import (
     resolve_jobs,
     run_parallel,
 )
+from repro.runtime.seeds import fresh_seed_sequence
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -44,6 +46,7 @@ __all__ = [
     "cache_root",
     "content_hash",
     "default_jobs",
+    "fresh_seed_sequence",
     "resolve_jobs",
     "result_cache",
     "run_parallel",

@@ -15,10 +15,10 @@ parent (worker task wall times are already measured in the parent by
 ``ParallelRunner``), so cache counts reflect the coordinating process.
 
 Scopes are also **thread-local**: each thread keeps its own scope
-stack, so concurrent workers (the ``rota serve`` job executor runs one
-experiment per thread) never interleave each other's counters. A scope
-opened in one thread observes only events recorded by that thread;
-single-threaded callers see exactly the old behavior.
+stack, so concurrent threads never interleave each other's counters. A
+scope opened in one thread observes only events recorded by that
+thread. Gateway workers are separate processes: each opens its own
+scope per job and ships the flattened counters back to the gateway.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class RunMetrics:
 
 
 #: Per-thread scope stacks, innermost last. Thread-local so concurrent
-#: service workers each observe only their own events; pool workers are
+#: threads each observe only their own events; pool workers are
 #: separate processes and start with an empty stack either way.
 _LOCAL = threading.local()
 

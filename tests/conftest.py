@@ -64,6 +64,41 @@ def small_mesh():
     )
 
 
+@pytest.fixture(scope="module")
+def gateway(tmp_path_factory):
+    """A 2-process ``fork`` gateway on a random port, shared per module."""
+    from repro.gateway import GatewayConfig, GatewayService
+
+    service = GatewayService(
+        GatewayConfig(
+            port=0,
+            workers=2,
+            queue_depth=32,
+            start_method="fork",
+            cache_dir=str(tmp_path_factory.mktemp("gateway-cache")),
+        )
+    )
+    service.start()
+    yield service
+    service.shutdown()
+
+
+@pytest.fixture(scope="module")
+def gateway_manager(tmp_path_factory):
+    """A started 2-process ``fork`` job manager (no HTTP), shared per module."""
+    from repro.gateway import GatewayManager
+
+    manager = GatewayManager(
+        workers=2,
+        queue_depth=8,
+        cache_dir=str(tmp_path_factory.mktemp("manager-cache")),
+        start_method="fork",
+    )
+    manager.start()
+    yield manager
+    manager.shutdown()
+
+
 def make_stream(name="layer", x=3, y=2, z=7, **kwargs):
     """Convenience TileStream builder for engine/policy tests."""
     from repro.dataflow.tiling import TileStream

@@ -16,7 +16,6 @@ Covers the PR's acceptance criteria directly over HTTP:
 import http.client
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 from urllib.parse import urlsplit
@@ -25,8 +24,9 @@ import pytest
 
 from repro.experiments.registry import run_experiment
 from repro.gateway import GatewayConfig, GatewayService
+from tests.gateway.client import TERMINAL, request, wait_terminal
 
-#: Cheap parity sweep, same shape as the ``rota serve`` suite.
+#: Cheap parity sweep, same shape as ``tests/service/test_server.py``.
 PARITY_CASES = [
     ("table2", {}, {}),
     ("unfold", {"x": 5, "y": 4}, {"x": 5, "y": 4}),
@@ -34,59 +34,35 @@ PARITY_CASES = [
     ("fleet-accuracy", {"requests": 40}, {"num_requests": 40}),
 ]
 
-TERMINAL = ("done", "failed", "cancelled", "timeout")
+#: The ``/metrics`` body, section by section. ``rotabench`` reads the
+#: ``gateway``, ``jobs`` and ``resilience`` sections of it.
+METRICS_KEYS = {
+    "uptime_seconds": None,
+    "started_at": None,
+    "queue": {"depth", "running"},
+    "jobs": {
+        "submitted", "completed", "failed", "cancelled", "rejected",
+        "timeout", "seconds", "ema_seconds",
+    },
+    "resilience": {
+        "task_retries", "task_timeouts", "task_quarantines",
+        "cache_corruptions", "workers_restarted", "breaker",
+    },
+    "cache": {"hits", "misses", "puts", "evictions"},
+    "tasks": {"run", "seconds"},
+    "requests": {"total", "by_status"},
+    "gateway": {
+        "coalesced", "coalesce_ratio", "executions_dispatched",
+        "keys_in_flight", "keys_quarantined", "not_modified",
+        "sse_streams", "backpressure",
+    },
+}
 
-
-@pytest.fixture(scope="module")
-def gateway(tmp_path_factory):
-    svc = GatewayService(
-        GatewayConfig(
-            port=0,
-            workers=2,
-            queue_depth=32,
-            start_method="fork",
-            cache_dir=str(tmp_path_factory.mktemp("gateway-cache")),
-        )
-    )
-    svc.start()
-    yield svc
-    svc.shutdown()
-
-
-def request(service, method, path, body=None, headers=None):
-    """One HTTP round-trip; returns (status, headers, parsed payload)."""
-    data = None if body is None else json.dumps(body).encode("utf-8")
-    all_headers = dict(headers or {})
-    if data:
-        all_headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(
-        service.url + path, data=data, method=method, headers=all_headers
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=60) as response:
-            return (
-                response.status,
-                dict(response.headers),
-                json.loads(response.read() or b"null"),
-            )
-    except urllib.error.HTTPError as error:
-        raw = error.read()
-        return (
-            error.code,
-            dict(error.headers),
-            json.loads(raw) if raw else None,
-        )
-
-
-def wait_terminal(service, job_id, timeout=120.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        status, _, body = request(service, "GET", f"/v1/runs/{job_id}")
-        assert status in (200, 504), body
-        if body["state"] in TERMINAL:
-            return body
-        assert time.monotonic() < deadline, f"job {job_id} stuck"
-        time.sleep(0.05)
+HEALTHZ_KEYS = {"status", "version", "uptime_seconds", "workers", "workers_alive", "tier"}
+WORKER_ROW_KEYS = {
+    "id", "kind", "pid", "alive", "ready", "busy", "current_job",
+    "jobs_completed", "restarts",
+}
 
 
 class TestHealthz:
@@ -358,6 +334,25 @@ class TestParity:
             "draining",
         )
         assert section["backpressure"]["retry_after_hint"] >= 1
+
+
+class TestBodyShape:
+    def test_metrics_key_set_is_pinned(self, gateway):
+        _, _, body = request(gateway, "GET", "/metrics")
+        assert set(body) == set(METRICS_KEYS)
+        for section, keys in METRICS_KEYS.items():
+            if keys is not None:
+                assert set(body[section]) == keys, section
+        assert set(body["gateway"]["backpressure"]) == {"tier", "retry_after_hint"}
+        assert set(body["resilience"]["breaker"]) >= {"state"}
+
+    def test_healthz_key_set_is_pinned(self, gateway):
+        _, _, body = request(gateway, "GET", "/healthz")
+        assert set(body) == HEALTHZ_KEYS
+        assert body["workers"]
+        for row in body["workers"]:
+            assert set(row) == WORKER_ROW_KEYS
+            assert row["kind"] == "process"
 
 
 class TestShutdown:

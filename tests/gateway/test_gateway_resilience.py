@@ -19,20 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.gateway import GatewayConfig, GatewayService
-from repro.gateway.jobs import GatewayJobManager
+from repro.gateway import GatewayConfig, GatewayManager, GatewayService, WorkerProcessPool
+from tests.gateway.client import TERMINAL, wait_for
 
-TERMINAL = ("done", "failed", "cancelled", "timeout")
 _SRC = Path(__file__).resolve().parent.parent.parent / "src"
-
-
-def wait_for(predicate, timeout=30.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def submit(manager, spec_id="lifetime", **params):
@@ -41,7 +31,7 @@ def submit(manager, spec_id="lifetime", **params):
 
 @pytest.fixture
 def manager(tmp_path):
-    mgr = GatewayJobManager(
+    mgr = GatewayManager(
         workers=1,
         queue_depth=8,
         cache_dir=str(tmp_path),
@@ -68,7 +58,7 @@ class TestWorkerRespawn:
         assert manager.metrics.task_retries >= 1
 
     def test_repeated_crashes_quarantine_the_key(self, tmp_path):
-        mgr = GatewayJobManager(
+        mgr = GatewayManager(
             workers=1,
             queue_depth=8,
             cache_dir=str(tmp_path),
@@ -100,7 +90,7 @@ class TestWorkerRespawn:
 
 class TestDeadline:
     def test_overrunning_task_times_out_and_worker_is_replaced(self, tmp_path):
-        mgr = GatewayJobManager(
+        mgr = GatewayManager(
             workers=1,
             queue_depth=8,
             cache_dir=str(tmp_path),
@@ -118,6 +108,26 @@ class TestDeadline:
             assert wait_for(
                 lambda: mgr.worker_health()[0]["pid"] != pid_before, 30.0
             )
+        finally:
+            mgr.shutdown(timeout=10.0)
+
+
+class TestDispatchLatency:
+    def test_submission_to_idle_pool_skips_the_idle_poll(self, tmp_path, monkeypatch):
+        # A supervisor parked on a long idle poll must still dispatch a
+        # new submission at once: submit wakes it.
+        monkeypatch.setattr(WorkerProcessPool, "IDLE_POLL_SECONDS", 30.0)
+        mgr = GatewayManager(
+            workers=1, queue_depth=8, cache_dir=str(tmp_path), start_method="fork"
+        )
+        mgr.start()
+        try:
+            for x in (3, 4):  # the first run warms the worker
+                began = time.monotonic()
+                job = mgr.submit("unfold", {"x": x})
+                assert wait_for(lambda: job.done, 10.0)
+                assert job.state == "done"
+            assert time.monotonic() - began < 5.0
         finally:
             mgr.shutdown(timeout=10.0)
 
@@ -216,4 +226,4 @@ class TestSignalDrain:
         proc.send_signal(sig)
         output, _ = proc.communicate(timeout=60)
         assert proc.returncode == 0
-        assert "rota service drained" in output
+        assert "rota gateway drained" in output

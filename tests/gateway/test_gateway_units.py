@@ -4,10 +4,15 @@ computed Retry-After, backpressure tiers, and config validation."""
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gateway import Coalescer, GatewayConfig, GatewayMetrics
+from repro.gateway import (
+    Coalescer,
+    GatewayAPI,
+    GatewayConfig,
+    GatewayManager,
+    GatewayMetrics,
+    QueueFullError,
+)
 from repro.resilience import PoisonedTaskError
-from repro.service.jobs import JobManager, QueueFullError
-from repro.service.metrics import ServiceMetrics
 
 
 class TestCoalescer:
@@ -49,18 +54,18 @@ class TestCoalescer:
 
 class TestServiceRateEstimator:
     def test_no_estimate_before_first_completion(self):
-        metrics = ServiceMetrics()
+        metrics = GatewayMetrics()
         assert metrics.estimated_job_seconds() is None
 
     def test_ema_tracks_completions_only(self):
-        metrics = ServiceMetrics()
-        metrics.record_job(None, 2.0)
+        metrics = GatewayMetrics()
+        metrics.record_job_summary(None, 2.0)
         assert metrics.estimated_job_seconds() == pytest.approx(2.0)
         # Failures and timeouts must not drag the service-rate estimate.
-        metrics.record_job(None, 50.0, failed=True)
-        metrics.record_job(None, 50.0, timed_out=True)
+        metrics.record_job_summary(None, 50.0, failed=True)
+        metrics.record_job_summary(None, 50.0, timed_out=True)
         assert metrics.estimated_job_seconds() == pytest.approx(2.0)
-        metrics.record_job(None, 4.0)
+        metrics.record_job_summary(None, 4.0)
         # EMA with alpha 0.3: 0.3 * 4 + 0.7 * 2 = 2.6
         assert metrics.estimated_job_seconds() == pytest.approx(2.6)
 
@@ -73,7 +78,8 @@ class TestServiceRateEstimator:
 
 class TestComputedRetryAfter:
     def make_manager(self, workers=2):
-        return JobManager(workers=workers, queue_depth=4)
+        # Never started: submissions stay pending, no process is forked.
+        return GatewayManager(workers=workers, queue_depth=4, start_method="fork")
 
     def test_floor_of_one_without_an_estimate(self):
         manager = self.make_manager()
@@ -81,14 +87,14 @@ class TestComputedRetryAfter:
 
     def test_scales_with_outstanding_over_workers(self):
         manager = self.make_manager(workers=2)
-        manager.metrics.record_job(None, 3.0)
+        manager.metrics.record_job_summary(None, 3.0)
         # No outstanding work: ceil(0 * 3 / 2) clamps up to the floor.
         assert manager.retry_after_seconds() == 1
 
     def test_clamped_to_sixty_seconds(self):
         manager = self.make_manager(workers=1)
-        manager.metrics.record_job(None, 1000.0)
-        manager._queue.put_nowait(object())  # one outstanding job
+        manager.metrics.record_job_summary(None, 1000.0)
+        manager.submit("unfold", {})  # one outstanding job
         assert manager.retry_after_seconds() == 60
 
     def test_queue_full_error_carries_the_hint(self):
@@ -96,16 +102,14 @@ class TestComputedRetryAfter:
         assert error.retry_after == 7
 
     def test_429_surfaces_the_computed_hint(self):
-        from repro.service.api import ServiceAPI
-
         class FullManager:
-            metrics = ServiceMetrics()
+            metrics = GatewayMetrics()
             breaker = None
 
             def submit(self, spec_id, params):
                 raise QueueFullError("full", retry_after=42)
 
-        api = ServiceAPI(FullManager())
+        api = GatewayAPI(FullManager())
         response = api.handle(
             "POST", "/v1/experiments/unfold/runs", {"x": 4, "y": 4}
         )
@@ -113,16 +117,14 @@ class TestComputedRetryAfter:
         assert dict(response.headers)["Retry-After"] == "42"
 
     def test_quarantined_submission_is_422(self):
-        from repro.service.api import ServiceAPI
-
         class QuarantinedManager:
-            metrics = ServiceMetrics()
+            metrics = GatewayMetrics()
             breaker = None
 
             def submit(self, spec_id, params):
                 raise PoisonedTaskError("lifetime:run-1", 2, kind="crash")
 
-        api = ServiceAPI(QuarantinedManager())
+        api = GatewayAPI(QuarantinedManager())
         response = api.handle(
             "POST", "/v1/experiments/unfold/runs", {"x": 4, "y": 4}
         )
@@ -162,7 +164,7 @@ class TestGatewayMetricsSnapshot:
         metrics.record_not_modified()
         metrics.record_sse_stream()
         body = metrics.snapshot(tier="accept", retry_after_hint=3)
-        # PR-4 dashboard keys survive unchanged.
+        # The job/request/cache sections sit next to the gateway one.
         assert "jobs" in body and "requests" in body and "cache" in body
         section = body["gateway"]
         assert section["coalesced"] == 1

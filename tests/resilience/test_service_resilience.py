@@ -1,14 +1,20 @@
-"""Service hardening: job timeouts (504), circuit breaker, worker recovery."""
+"""Gateway hardening: job timeouts (504), circuit breaker, worker recovery.
 
-import threading
+Workers are ``fork``-started, so a ``run_experiment`` patched in this
+process before the manager starts is what the workers execute.
+"""
+
+import os
+import signal
 import time
 
 import pytest
 
+from repro.gateway import GatewayAPI, GatewayManager, JobState
 from repro.resilience import CircuitBreaker, CircuitOpenError
-from repro.runtime.cache import ResultCache
-from repro.service.api import ServiceAPI
-from repro.service.jobs import JobManager, JobState
+from tests.gateway.client import wait_done, wait_for
+
+RUN_EXPERIMENT = "repro.experiments.registry.run_experiment"
 
 
 class FakeClock:
@@ -19,26 +25,18 @@ class FakeClock:
         return self.now
 
 
-def _disabled_cache(tmp_path):
-    return ResultCache(directory=tmp_path / "cache", enabled=False)
-
-
-def _wait_done(job, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not job.done:
-        if time.monotonic() > deadline:
-            raise AssertionError(f"job stuck in state {job.state!r}")
-        time.sleep(0.01)
-
-
 @pytest.fixture
 def manager_factory(tmp_path):
     managers = []
 
     def build(**kwargs):
         kwargs.setdefault("workers", 1)
-        kwargs.setdefault("cache", _disabled_cache(tmp_path))
-        manager = JobManager(**kwargs)
+        manager = GatewayManager(
+            cache_dir=str(tmp_path / "cache"),
+            cache_enabled=False,
+            start_method="fork",
+            **kwargs,
+        )
         manager.start()
         managers.append(manager)
         return manager
@@ -48,85 +46,82 @@ def manager_factory(tmp_path):
         manager.shutdown(timeout=5.0)
 
 
+def _slow(spec_id, **params):
+    time.sleep(5.0)
+
+
 class TestJobTimeout:
-    def test_overrunning_job_flips_to_timeout(
-        self, manager_factory, monkeypatch
-    ):
-        import repro.service.jobs as jobs_module
-
-        def slow_run(spec_id, **params):
-            time.sleep(5.0)
-
-        monkeypatch.setattr(jobs_module, "run_experiment", slow_run)
+    def test_overrunning_job_flips_to_timeout(self, manager_factory, monkeypatch):
+        monkeypatch.setattr(RUN_EXPERIMENT, _slow)
         manager = manager_factory(job_timeout=0.2)
         job = manager.submit("unfold", {})
-        _wait_done(job)
+        wait_done(job, timeout=10.0)
         assert job.state == JobState.TIMEOUT
         assert job.error["code"] == "timeout"
         assert manager.metrics.jobs_timeout == 1
         assert manager.metrics.jobs_failed == 0
 
     def test_timeout_job_detail_is_504(self, manager_factory, monkeypatch):
-        import repro.service.jobs as jobs_module
-
-        monkeypatch.setattr(
-            jobs_module, "run_experiment", lambda *a, **k: time.sleep(5.0)
-        )
+        monkeypatch.setattr(RUN_EXPERIMENT, _slow)
         manager = manager_factory(job_timeout=0.2)
         job = manager.submit("unfold", {})
-        _wait_done(job)
-        response = ServiceAPI(manager).handle("GET", f"/v1/runs/{job.id}", None)
+        wait_done(job, timeout=10.0)
+        response = GatewayAPI(manager).handle("GET", f"/v1/runs/{job.id}", None)
         assert response.status == 504
         assert response.payload["state"] == "timeout"
 
     def test_fast_job_unaffected_by_deadline(self, manager_factory):
         manager = manager_factory(job_timeout=60.0)
         job = manager.submit("unfold", {})
-        _wait_done(job)
+        wait_done(job, timeout=10.0)
         assert job.state == JobState.DONE
 
     def test_invalid_timeout_rejected(self, tmp_path):
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            JobManager(job_timeout=0.0, cache=_disabled_cache(tmp_path))
+            GatewayManager(job_timeout=0.0, cache_dir=str(tmp_path))
 
 
 class TestCircuitBreakerIntegration:
-    def _failing(self, monkeypatch):
-        import repro.service.jobs as jobs_module
+    def _failing(self, monkeypatch, flag):
+        """Workers fail every run while ``flag`` exists (a cross-process switch)."""
+        from repro.experiments.registry import run_experiment
 
-        def fail(spec_id, **params):
-            raise RuntimeError("worker blew up")
+        def fail_while_flagged(spec_id, **params):
+            if flag.exists():
+                raise RuntimeError("worker blew up")
+            return run_experiment(spec_id, **params)
 
-        monkeypatch.setattr(jobs_module, "run_experiment", fail)
+        flag.touch()
+        monkeypatch.setattr(RUN_EXPERIMENT, fail_while_flagged)
 
     def test_consecutive_failures_open_and_shed(
-        self, manager_factory, monkeypatch
+        self, manager_factory, monkeypatch, tmp_path
     ):
-        self._failing(monkeypatch)
+        self._failing(monkeypatch, tmp_path / "fail")
         clock = FakeClock()
         breaker = CircuitBreaker(
             failure_threshold=2, cooldown_seconds=30.0, clock=clock
         )
         manager = manager_factory(breaker=breaker)
         for _ in range(2):
-            _wait_done(manager.submit("unfold", {}))
+            wait_done(manager.submit("unfold", {}), timeout=10.0)
         assert breaker.state == "open"
         with pytest.raises(CircuitOpenError):
             manager.submit("unfold", {})
 
     def test_api_maps_open_circuit_to_503_with_retry_after(
-        self, manager_factory, monkeypatch
+        self, manager_factory, monkeypatch, tmp_path
     ):
-        self._failing(monkeypatch)
+        self._failing(monkeypatch, tmp_path / "fail")
         clock = FakeClock()
         breaker = CircuitBreaker(
             failure_threshold=1, cooldown_seconds=30.0, clock=clock
         )
         manager = manager_factory(breaker=breaker)
-        _wait_done(manager.submit("unfold", {}))
-        response = ServiceAPI(manager).handle(
+        wait_done(manager.submit("unfold", {}), timeout=10.0)
+        response = GatewayAPI(manager).handle(
             "POST", "/v1/experiments/unfold/runs", {}
         )
         assert response.status == 503
@@ -135,29 +130,28 @@ class TestCircuitBreakerIntegration:
         assert int(headers["Retry-After"]) >= 1
 
     def test_successful_probe_closes_the_circuit(
-        self, manager_factory, monkeypatch
+        self, manager_factory, monkeypatch, tmp_path
     ):
-        import repro.service.jobs as jobs_module
-
-        self._failing(monkeypatch)
+        flag = tmp_path / "fail"
+        self._failing(monkeypatch, flag)
         clock = FakeClock()
         breaker = CircuitBreaker(
             failure_threshold=1, cooldown_seconds=30.0, clock=clock
         )
         manager = manager_factory(breaker=breaker)
-        _wait_done(manager.submit("unfold", {}))
+        wait_done(manager.submit("unfold", {}), timeout=10.0)
         assert breaker.state == "open"
         clock.now += 30.0
-        monkeypatch.undo()  # restore the real run_experiment
+        flag.unlink()  # the workers run the real experiment again
         probe = manager.submit("unfold", {})  # the half-open probe
-        _wait_done(probe)
+        wait_done(probe, timeout=10.0)
         assert probe.state == JobState.DONE
         assert breaker.state == "closed"
 
     def test_metrics_expose_breaker_state(self, manager_factory):
         breaker = CircuitBreaker(failure_threshold=5, cooldown_seconds=30.0)
         manager = manager_factory(breaker=breaker)
-        response = ServiceAPI(manager).handle("GET", "/metrics", None)
+        response = GatewayAPI(manager).handle("GET", "/metrics", None)
         resilience = response.payload["resilience"]
         assert resilience["breaker"]["state"] == "closed"
         assert resilience["workers_restarted"] == 0
@@ -167,13 +161,11 @@ class TestCircuitBreakerIntegration:
 class TestWorkerRecovery:
     def test_dead_worker_is_respawned_on_submit(self, manager_factory):
         manager = manager_factory(workers=1)
-        # Simulate a worker thread that died (the loop guards against
-        # this, but belt-and-braces recovery must still work).
-        corpse = threading.Thread(target=lambda: None)
-        corpse.start()
-        corpse.join()
-        manager._threads[0] = corpse
+        corpse = manager.worker_health()[0]["pid"]
+        os.kill(corpse, signal.SIGKILL)
+        assert wait_for(lambda: manager.metrics.workers_restarted == 1, 10.0)
         job = manager.submit("unfold", {})
-        _wait_done(job)
+        wait_done(job, timeout=10.0)
         assert job.state == JobState.DONE
+        assert manager.worker_health()[0]["pid"] != corpse
         assert manager.metrics.workers_restarted == 1

@@ -1,46 +1,28 @@
-"""Unit tests for the transport-independent service API layer."""
-
-import time
+"""Unit tests for the transport-independent gateway API layer."""
 
 import pytest
 
 from repro.experiments.registry import spec_ids
-from repro.runtime import ResultCache
-from repro.service import JobManager, ServiceAPI
+from repro.gateway import GatewayAPI, GatewayManager
+from tests.gateway.client import wait_done
 
 
 def wait_state(manager, job_id, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        job = manager.get(job_id)
-        if job.done:
-            return job
-        if time.monotonic() > deadline:
-            raise AssertionError(f"job {job_id} stuck in {job.state}")
-        time.sleep(0.01)
+    return wait_done(manager.get(job_id), timeout)
 
 
 @pytest.fixture
-def api(tmp_path):
-    manager = JobManager(
-        workers=2,
-        queue_depth=4,
-        cache=ResultCache(directory=tmp_path, enabled=True),
-    )
-    manager.start()
-    yield ServiceAPI(manager)
-    manager.shutdown()
+def api(gateway_manager):
+    return GatewayAPI(gateway_manager)
 
 
 @pytest.fixture
 def cold_api(tmp_path):
     """API over a manager whose workers never run (queueing tests)."""
-    manager = JobManager(
-        workers=1,
-        queue_depth=2,
-        cache=ResultCache(directory=tmp_path, enabled=True),
+    manager = GatewayManager(
+        workers=1, queue_depth=2, cache_dir=str(tmp_path), start_method="fork"
     )
-    yield ServiceAPI(manager)
+    yield GatewayAPI(manager)
     manager.shutdown()
 
 
@@ -51,8 +33,8 @@ class TestHealthAndMetrics:
         assert response.payload["status"] == "ok"
         assert response.payload["uptime_seconds"] >= 0
 
-    def test_metrics_shape(self, api):
-        response = api.handle("GET", "/metrics", None)
+    def test_metrics_shape(self, cold_api):
+        response = cold_api.handle("GET", "/metrics", None)
         assert response.status == 200
         payload = response.payload
         assert set(payload) >= {"uptime_seconds", "queue", "jobs", "cache", "tasks"}
@@ -129,24 +111,18 @@ class TestSubmission:
         assert "dead" in response.payload["error"]["fields"]
 
     def test_queue_full_maps_to_429(self, cold_api):
-        assert cold_api.handle("POST", "/v1/experiments/unfold/runs", {}).status == 202
-        assert cold_api.handle("POST", "/v1/experiments/unfold/runs", {}).status == 202
-        response = cold_api.handle("POST", "/v1/experiments/unfold/runs", {})
+        # Distinct params: identical submissions would coalesce instead.
+        for x in (2, 3):
+            body = {"x": x}
+            assert cold_api.handle("POST", "/v1/experiments/unfold/runs", body).status == 202
+        response = cold_api.handle("POST", "/v1/experiments/unfold/runs", {"x": 4})
         assert response.status == 429
         assert response.payload["error"]["code"] == "queue-full"
         assert ("Retry-After", "1") in response.headers
 
-    def test_submit_during_shutdown_maps_to_503(self, tmp_path):
-        manager = JobManager(
-            workers=1,
-            queue_depth=2,
-            cache=ResultCache(directory=tmp_path, enabled=True),
-        )
-        manager.start()
-        manager.shutdown()
-        response = ServiceAPI(manager).handle(
-            "POST", "/v1/experiments/unfold/runs", {}
-        )
+    def test_submit_during_shutdown_maps_to_503(self, cold_api):
+        cold_api.manager.shutdown()
+        response = cold_api.handle("POST", "/v1/experiments/unfold/runs", {})
         assert response.status == 503
         assert response.payload["error"]["code"] == "shutting-down"
 
@@ -221,7 +197,7 @@ class TestRunEndpoints:
         assert job.state == "failed"
         response = api.handle("GET", f"/v1/runs/{job_id}", None)
         # The ReproError surfaces as a structured error on the job, not
-        # a traceback or a 500 — the service twin of CLI exit code 2.
+        # a traceback or a 500 — the HTTP twin of CLI exit code 2.
         assert response.status == 200
         assert response.payload["error"]["code"] == "repro-error"
         assert "NoSuchNet" in response.payload["error"]["message"]
@@ -238,9 +214,12 @@ class TestRunEndpoints:
         wait_state(api.manager, job_id)
         response = api.handle("GET", "/v1/runs", None)
         assert response.status == 200
-        assert [run["id"] for run in response.payload["runs"]] == [job_id]
-        # Summaries stay light: no result body on the list endpoint.
-        assert "result" not in response.payload["runs"][0]
+        runs = response.payload["runs"]
+        assert runs[-1]["id"] == job_id
+        # Oldest first, and summaries stay light: no result body.
+        created = [run["created_at"] for run in runs]
+        assert created == sorted(created)
+        assert all("result" not in run for run in runs)
 
     def test_handle_never_raises(self, api):
         # Even a nonsense params type becomes a structured response.
